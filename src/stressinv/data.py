@@ -107,10 +107,6 @@ def minkowski_matrix(samples):
     return np.stack([s.minkowski for s in samples])
 
 
-def curve_matrix(samples):
-    return np.stack([s.curve.stress for s in samples])
-
-
 # ---------------------------------------------------------------------------
 # CSV ingestion / emission
 
@@ -192,6 +188,8 @@ def _load_curves(path, grid):
 def _load_curves_long(path, reader, grid):
     raw = {}
     for rownum, row in enumerate(reader, start=2):
+        if len(row) < 3:
+            raise ParseError(f"{path}:{rownum}: expected 3 cells")
         try:
             strain, stress = float(row[1]), float(row[2])
         except ValueError as exc:

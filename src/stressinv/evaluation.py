@@ -14,7 +14,8 @@ import numpy as np
 from . import data
 from .metrics import r2
 from .nnet.serialize import dump_json
-from .predictors import train_predictor, predict_batch, default_config
+from .predictors import (train_predictor, predict_batch, default_config,
+                         build_inputs)
 from .reconstructor import reconstruct
 
 N_TARGETS = 4
@@ -77,11 +78,12 @@ class ComparisonTable:
 
 
 def run_cell(kind, mode, seed, dataset, reconstructor_model, configs=None,
-             use_raw_curves=False):
+             use_raw_curves=False, input_curves=None):
     config = (configs or {}).get(kind) or default_config(kind)
     trained = train_predictor(kind, dataset, reconstructor_model, mode,
                               config=config, seed=seed,
-                              use_raw_curves=use_raw_curves)
+                              use_raw_curves=use_raw_curves,
+                              input_curves=input_curves)
     test_samples = [dataset[i] for i in trained.split.test]
     return evaluate_predictor(trained, test_samples, reconstructor_model,
                               mask_seed=seed)
@@ -91,19 +93,25 @@ def run_comparison(dataset, kinds, modes, seeds, reconstructor_model,
                    configs=None, jobs=1, use_raw_curves=False):
     """Train and evaluate every (kind, mode, seed) cell; aggregate over seeds.
 
-    Cells run independently (optionally in a thread pool); results are
-    ordered deterministically, so output is invariant to the job count.
+    The stage-1 inputs depend only on the seed, so they are built once per
+    seed and shared by its cells. Cells run independently (optionally in a
+    thread pool); results are ordered deterministically, so output is
+    invariant to the job count.
     """
     if not seeds:
         raise ValueError("at least one seed is required")
     cells = [(kind, mode, seed) for kind in kinds for mode in modes
              for seed in seeds]
+    inputs = {seed: build_inputs(dataset, reconstructor_model, seed,
+                                 use_raw_curves=use_raw_curves)
+              for seed in seeds}
 
     def run(cell):
         kind, mode, seed = cell
         try:
             return run_cell(kind, mode, seed, dataset, reconstructor_model,
-                            configs=configs, use_raw_curves=use_raw_curves)
+                            configs=configs, use_raw_curves=use_raw_curves,
+                            input_curves=inputs[seed])
         except Exception as exc:
             raise RuntimeError(f"comparison cell failed: kind={kind}, "
                                f"mode={mode}, seed={seed}: {exc}") from exc

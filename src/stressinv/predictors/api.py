@@ -142,8 +142,12 @@ def build_inputs(dataset, reconstructor_model, seed, use_raw_curves=False):
 
 
 def train_predictor(kind, dataset, reconstructor_model, domain_mode,
-                    config=None, seed=0, use_raw_curves=False):
-    """Train one stage-2 predictor; returns a TrainedPredictor."""
+                    config=None, seed=0, use_raw_curves=False, input_curves=None):
+    """Train one stage-2 predictor; returns a TrainedPredictor.
+
+    input_curves, if given, is build_inputs(dataset, reconstructor_model,
+    seed, use_raw_curves) computed once by a caller training several cells.
+    """
     if kind not in PREDICTOR_KINDS:
         raise ValueError(f"unknown predictor kind {kind!r}")
     if domain_mode not in DOMAIN_MODES:
@@ -155,8 +159,9 @@ def train_predictor(kind, dataset, reconstructor_model, domain_mode,
     fractions = DNN_SPLIT if kind == "dnn" else BASELINE_SPLIT
     indices = data.split(n, fractions, seed)
 
-    input_curves = build_inputs(dataset, reconstructor_model, seed,
-                                use_raw_curves=use_raw_curves)
+    if input_curves is None:
+        input_curves = build_inputs(dataset, reconstructor_model, seed,
+                                    use_raw_curves=use_raw_curves)
     y = data.minkowski_matrix(dataset)
 
     law = None

@@ -43,33 +43,36 @@ def _node_sse(y):
     return float(((y - mu) ** 2).sum())
 
 
-def _best_split(x, y, feature_ids, min_leaf):
-    """Best (score, feature, threshold) over the candidate features, or None."""
-    n = x.shape[0]
-    best = None
-    for f in feature_ids:
-        xs_raw = x[:, f]
-        order = np.argsort(xs_raw, kind="stable")
-        xs = xs_raw[order]
-        ys = y[order]
-        csum = np.cumsum(ys, axis=0)
-        csq = np.cumsum(ys * ys, axis=0)
-        total_sum, total_sq = csum[-1], csq[-1]
-        # candidate boundary after position i: left = [0..i]
-        i = np.arange(n - 1)
-        valid = (xs[:-1] < xs[1:]) & (i + 1 >= min_leaf) & (n - i - 1 >= min_leaf)
-        if not valid.any():
-            continue
-        n_left = (i + 1).astype(np.float64)
-        n_right = n - n_left
-        sse_left = (csq[:-1] - csum[:-1] ** 2 / n_left[:, None]).sum(axis=1)
-        sse_right = ((total_sq - csq[:-1])
-                     - (total_sum - csum[:-1]) ** 2 / n_right[:, None]).sum(axis=1)
-        score = np.where(valid, sse_left + sse_right, np.inf)
-        j = int(np.argmin(score))  # first minimum -> lowest threshold
-        if best is None or score[j] < best[0]:
-            best = (float(score[j]), int(f), float(0.5 * (xs[j] + xs[j + 1])))
-    return best
+def _best_split(x, y, feature_ids, min_leaf, order=None):
+    """Best (score, feature, threshold) over the candidate features, or None.
+
+    order[i] lists the node's rows of x stably sorted by feature
+    feature_ids[i]; by default all rows, sorted here. All candidates are
+    scored in one pass; the row-major argmin keeps the lowest feature, then
+    the lowest threshold.
+    """
+    feature_ids = np.asarray(feature_ids, dtype=np.intp)
+    if order is None:
+        order = np.argsort(x[:, feature_ids].T, axis=1, kind="stable")
+    n = order.shape[1]
+    xs = x[order, feature_ids[:, None]]  # (m, n)
+    ys = y[order]  # (m, n, k)
+    csum = np.cumsum(ys, axis=1)
+    csq = np.cumsum(ys * ys, axis=1)
+    # candidate boundary after position i: left = [0..i], min_leaf rows a side
+    valid = xs[:, :-1] < xs[:, 1:]
+    valid[:, :max(min_leaf - 1, 0)] = False
+    valid[:, max(n - min_leaf, 0):] = False
+    if not valid.any():
+        return None
+    n_left = np.arange(1, n, dtype=np.float64)[:, None]
+    sse_left = (csq[:, :-1] - csum[:, :-1] ** 2 / n_left).sum(axis=2)
+    sse_right = ((csq[:, -1:] - csq[:, :-1])
+                 - (csum[:, -1:] - csum[:, :-1]) ** 2 / (n - n_left)).sum(axis=2)
+    score = np.where(valid, sse_left + sse_right, np.inf)
+    f, j = divmod(int(np.argmin(score)), n - 1)
+    return (float(score[f, j]), int(feature_ids[f]),
+            float(0.5 * (xs[f, j] + xs[f, j + 1])))
 
 
 class RegressionTree:
@@ -89,32 +92,45 @@ class RegressionTree:
         value = y.sum(axis=0) / (y.shape[0] + self.leaf_shrinkage)
         return TreeNode(value=value)
 
-    def _grow(self, x, y, depth, rng):
-        n, d = x.shape
+    def _grow(self, x, y, rows, order, depth, rng):
+        # rows: the node's row indices, ascending; order: (d, len(rows)),
+        # the same rows stably sorted by each feature
+        n, d = rows.size, x.shape[1]
+        node_y = y[rows]
         if (n < 2 * self.min_leaf
                 or (self.max_depth is not None and depth >= self.max_depth)):
-            return self._leaf(y)
+            return self._leaf(node_y)
         if self.features_per_split is None or self.features_per_split >= d:
-            feature_ids = range(d)
+            feature_ids, candidates = range(d), order
         else:
             feature_ids = np.sort(rng.choice(d, self.features_per_split, replace=False))
-        best = _best_split(x, y, feature_ids, self.min_leaf)
-        if best is None or best[0] >= _node_sse(y):
-            return self._leaf(y)
+            candidates = order[feature_ids]
+        best = _best_split(x, y, feature_ids, self.min_leaf, order=candidates)
+        if best is None or best[0] >= _node_sse(node_y):
+            return self._leaf(node_y)
         _, f, threshold = best
         go_left = x[:, f] <= threshold
+        # stable partitions keep the rows ascending and each order sorted
+        rows_left, left = go_left[rows], go_left[order]
         return TreeNode(feature=f, threshold=threshold,
-                        left=self._grow(x[go_left], y[go_left], depth + 1, rng),
-                        right=self._grow(x[~go_left], y[~go_left], depth + 1, rng))
+                        left=self._grow(x, y, rows[rows_left],
+                                        order[left].reshape(d, -1), depth + 1, rng),
+                        right=self._grow(x, y, rows[~rows_left],
+                                         order[~left].reshape(d, -1), depth + 1, rng))
 
-    def fit(self, x, y, rng=None):
+    def fit(self, x, y, rng=None, order=None):
+        """Grow the tree; order is np.argsort(x.T, axis=1, kind="stable"),
+        computed here unless a caller fitting the same x several times
+        passes it in."""
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if y.ndim == 1:
             y = y[:, None]
         if self.features_per_split is not None and rng is None:
             rng = np.random.default_rng(0)
-        self.root = self._grow(x, y, 0, rng)
+        if order is None:
+            order = np.argsort(x.T, axis=1, kind="stable")
+        self.root = self._grow(x, y, np.arange(x.shape[0]), order, 0, rng)
         return self
 
     def predict(self, x):
@@ -229,12 +245,13 @@ class GradientBoosting:
         self.trees = [[] for _ in range(k)]
         pred = np.tile(self.base, (y.shape[0], 1))
         self.train_losses = [float(((y - pred) ** 2).mean())]
+        order = np.argsort(x.T, axis=1, kind="stable")
         for _ in range(self.n_rounds):
             for j in range(k):
                 residual = y[:, j] - pred[:, j]
                 tree = RegressionTree(max_depth=self.max_depth,
                                       leaf_shrinkage=self.l2_lambda)
-                tree.fit(x, residual)
+                tree.fit(x, residual, order=order)
                 pred[:, j] += self.learning_rate * tree.predict(x)[:, 0]
                 self.trees[j].append(tree)
             self.train_losses.append(float(((y - pred) ** 2).mean()))

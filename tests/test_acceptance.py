@@ -2,7 +2,8 @@
 
 Run with `pytest -v -s tests/test_acceptance.py` to see one PASS/FAIL line
 per criterion.  The expensive artifacts (600-sample dataset, fully trained
-stage-1 network) are built once and shared across criteria 3 and 4.
+stage-1 network) are built once and shared across criteria 3 and 4, which
+are marked `slow`; `pytest -m "not slow"` skips them.
 """
 
 import json
@@ -221,6 +222,7 @@ def test_criterion_2_strength_law_recovery():
 # ---------------------------------------------------------------------------
 # Criterion 3: stage-1 reconstruction quality
 
+@pytest.mark.slow
 def test_criterion_3_reconstruction_quality(dataset600, stage1):
     model, history, train_seconds = stage1
     indices = data.split(len(dataset600), model.config.split_fractions,
@@ -235,6 +237,7 @@ def test_criterion_3_reconstruction_quality(dataset600, stage1):
 # ---------------------------------------------------------------------------
 # Criterion 4: domain knowledge helps (directional, over 5 seeds)
 
+@pytest.mark.slow
 def test_criterion_4_domain_knowledge_direction(dataset600, stage1):
     model, _, _ = stage1
     start = time.perf_counter()

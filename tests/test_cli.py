@@ -90,6 +90,18 @@ def test_missing_prerequisites_exit_io(tmp_path):
     assert main(["compare", "--config", str(cfg)]) == EXIT_IO
 
 
+def test_preprocess_short_long_format_row_exits_validation(tmp_path, capsys):
+    data_dir = tmp_path / "run" / "data"
+    data_dir.mkdir(parents=True)
+    (data_dir / "samples.csv").write_text("id,m0,m1,m2,m3\ns1,0.1,0.2,0.3,0.4\n")
+    curves = data_dir / "curves.csv"
+    curves.write_text("id,strain,stress\ns1,0.0,0.0\ns1,0.2\n")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"run_dir": str(tmp_path / "run")}))
+    assert main(["preprocess", "--config", str(cfg)]) == EXIT_VALIDATION
+    assert f"{curves}:3: expected 3 cells" in capsys.readouterr().err
+
+
 def test_fit_law_without_preprocess_exits_io(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"run_dir": str(tmp_path / "empty")}))

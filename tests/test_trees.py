@@ -1,6 +1,9 @@
 """CART trees, random forests, and gradient boosting against brute-force
 split oracles and structural identities."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -75,6 +78,23 @@ def test_split_no_valid_candidates_returns_none():
     x = np.zeros((4, 1))  # constant feature: no distinct neighbors
     y = np.arange(4.0)
     assert _best_split(x, y[:, None], range(1), 1) is None
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_split_with_presorted_order_matches_fresh_sort(seed):
+    # a node's rows drawn from a larger, tie-heavy sample, presorted the way
+    # the tree passes them down, against the same rows sorted afresh
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.uniform(size=(50, 4)), 1)
+    y = np.round(rng.normal(size=(50, 2)))
+    rows = np.sort(rng.choice(50, size=30, replace=False))
+    features = np.array([0, 2, 3])
+    full = np.argsort(x.T, axis=1, kind="stable")
+    order = full[features][np.isin(full[features], rows)].reshape(3, -1)
+    for min_leaf in (1, 3):
+        want = _best_split(x[rows], y[rows], features, min_leaf)
+        got = _best_split(x, y, features, min_leaf, order=order)
+        assert got == want
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +249,45 @@ def test_gbt_round_trip():
     clone = GradientBoosting.from_dict(model.to_dict())
     probe = rng.normal(size=(10, 3))
     assert np.array_equal(model.predict(probe), clone.predict(probe))
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity of fitted models
+
+# sha256 of the fits below, computed with the per-feature, per-node argsort
+# split search that the presorted one replaced
+GOLDEN_FIT_DIGEST = "ec1bb7896e583f8ce473f45fc1bd0beb17813c7c4803512bbdb5a5b12aa8ab2e"
+
+
+def test_fits_are_bit_identical_to_golden_digest():
+    h = hashlib.sha256()
+    rng = np.random.default_rng(2024)
+    x = rng.normal(size=(90, 6))
+    y = rng.normal(size=(90, 3))
+    # ties: features on a 0.1 grid, integer targets
+    xt = np.round(rng.uniform(0.0, 1.0, size=(70, 5)), 1)
+    yt = np.round(rng.normal(size=(70, 2)))
+    probe, probe_t = rng.normal(size=(25, 6)), np.round(rng.uniform(size=(25, 5)), 1)
+    models = [
+        (RandomForest(n_trees=6, max_depth=6, min_leaf=2, features_per_split=3,
+                      bootstrap=True, seed=7).fit(x, y), probe),
+        (GradientBoosting(n_rounds=8, max_depth=3, learning_rate=0.3,
+                          l2_lambda=0.5).fit(x, y), probe),
+        (RandomForest(n_trees=5, max_depth=None, min_leaf=1, features_per_split=2,
+                      seed=3).fit(xt, yt), probe_t),
+        (GradientBoosting(n_rounds=6, max_depth=4, learning_rate=0.5,
+                          l2_lambda=2.0).fit(xt, yt), probe_t),
+    ]
+    for min_leaf in (1, 2):
+        tree = RegressionTree(min_leaf=min_leaf).fit(xt, yt)
+        h.update(json.dumps(tree.root.to_dict()).encode())
+        h.update(tree.predict(probe_t).tobytes())
+    for model, p in models:
+        h.update(json.dumps(model.to_dict()).encode())
+        h.update(model.predict(p).tobytes())
+        if isinstance(model, GradientBoosting):
+            h.update(np.array(model.train_losses).tobytes())
+    assert h.hexdigest() == GOLDEN_FIT_DIGEST
 
 
 def test_gbt_validation():
