@@ -137,6 +137,8 @@ def load_dataset(samples_path, curves_path, grid=None):
         if has_aux and header[5:] != [f"f{j:02d}" for j in range(1, N_AUX_FEATURES + 1)]:
             raise ParseError(f"{samples_path}: aux columns must be f01..f{N_AUX_FEATURES}")
         for rownum, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ParseError(f"{samples_path}:{rownum}: expected {len(header)} cells")
             sid = row[0]
             if sid in seen:
                 raise ParseError(f"{samples_path}:{rownum}: duplicate id {sid!r}")
@@ -172,6 +174,8 @@ def _load_curves(path, grid):
                              "or strain,stress")
         curves = {}
         for rownum, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ParseError(f"{path}:{rownum}: expected {len(header)} cells")
             sid = row[0]
             if sid in curves:
                 raise ParseError(f"{path}:{rownum}: duplicate id {sid!r}")
@@ -179,8 +183,6 @@ def _load_curves(path, grid):
                 stress = np.array([float(v) for v in row[1:]])
             except ValueError as exc:
                 raise ParseError(f"{path}:{rownum}: non-numeric cell ({exc})") from None
-            if stress.size != len(grid):
-                raise ParseError(f"{path}:{rownum}: expected {len(grid)} stress values")
             curves[sid] = StressCurve(grid, stress)
         return curves
 
@@ -288,13 +290,15 @@ def position_means(masked_curves):
     return sums / counts
 
 
-def impute_mean(masked, train_means):
-    """Fill unobserved positions with the training mean for that position."""
+def impute_mean(masked_curves, train_means):
+    """Stack the curves as rows, filling each unobserved position with the
+    training mean for that position."""
     train_means = np.asarray(train_means, dtype=np.float64)
-    if train_means.shape != masked.mask.shape:
+    stress = np.stack([m.stress for m in masked_curves])
+    mask = np.stack([m.mask for m in masked_curves])
+    if train_means.shape != mask.shape[1:]:
         raise ValueError("imputation stats length must match the grid")
-    stress = np.where(masked.mask, masked.stress, train_means)
-    return StressCurve(masked.grid, stress)
+    return np.where(mask, stress, train_means)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +310,17 @@ class ScalerParams:
     a: np.ndarray  # per-feature min or mean
     b: np.ndarray  # per-feature max or std
     degenerate: np.ndarray  # constant-feature flags
+
+
+def scaler_to_json(params):
+    return {"kind": params.kind, "a": params.a.tolist(), "b": params.b.tolist(),
+            "degenerate": params.degenerate.astype(int).tolist()}
+
+
+def scaler_from_json(obj):
+    return ScalerParams(kind=obj["kind"], a=np.asarray(obj["a"]),
+                        b=np.asarray(obj["b"]),
+                        degenerate=np.asarray(obj["degenerate"], dtype=bool))
 
 
 def scaler_fit(data, kind):

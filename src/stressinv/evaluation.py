@@ -50,10 +50,8 @@ def evaluate_predictor(trained, test_samples, reconstructor_model, mask_seed=Non
         mask_seed = trained.seed
     rng = np.random.default_rng(np.random.SeedSequence([int(mask_seed), 0xe7a1]))
     fraction_range = reconstructor_model.config.mask_fraction_range
-    curves = []
-    for sample in test_samples:
-        masked = data.mask_curve(sample.curve, fraction_range, rng)
-        curves.append(reconstruct(reconstructor_model, masked))
+    masked = [data.mask_curve(s.curve, fraction_range, rng) for s in test_samples]
+    curves = reconstruct(reconstructor_model, masked)
     start = time.perf_counter()
     predicted = predict_batch(trained, curves)
     predict_runtime = time.perf_counter() - start
@@ -230,13 +228,13 @@ def emit_reconstruction_examples(reconstructor_model, samples, out_dir,
     import os
     rng = np.random.default_rng(mask_seed)
     fraction_range = reconstructor_model.config.mask_fraction_range
-    chosen = rng.choice(len(samples), size=min(n_examples, len(samples)),
-                        replace=False)
+    chosen = [samples[int(idx)] for idx in
+              rng.choice(len(samples), size=min(n_examples, len(samples)),
+                         replace=False)]
+    masked_curves = [data.mask_curve(s.curve, fraction_range, rng) for s in chosen]
+    recons = reconstruct(reconstructor_model, masked_curves)
     paths = []
-    for rank, idx in enumerate(chosen):
-        sample = samples[int(idx)]
-        masked = data.mask_curve(sample.curve, fraction_range, rng)
-        recon = reconstruct(reconstructor_model, masked)
+    for rank, (sample, masked, recon) in enumerate(zip(chosen, masked_curves, recons)):
         path = os.path.join(out_dir, f"{prefix}example_{rank}.csv")
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)

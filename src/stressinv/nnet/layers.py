@@ -20,29 +20,29 @@ class Module:
     def __init__(self):
         self.training = True
 
-    def parameters(self):
-        params = []
+    def _members(self):
+        """Attribute values in vars order, with list and tuple items inlined."""
         for value in vars(self).values():
-            if isinstance(value, Tensor) and value.requires_grad:
-                params.append(value)
-            elif isinstance(value, Module):
-                params.extend(value.parameters())
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        params.extend(item.parameters())
-                    elif isinstance(item, Tensor) and item.requires_grad:
-                        params.append(item)
-        return params
+            if isinstance(value, (list, tuple)):
+                yield from value
+            else:
+                yield value
+
+    def _state_arrays(self):
+        """Parameters (Tensors with requires_grad) and buffers (ndarray
+        attributes, such as batch-norm running statistics), depth first."""
+        for value in self._members():
+            if isinstance(value, Module):
+                yield from value._state_arrays()
+            elif isinstance(value, np.ndarray) or (
+                    isinstance(value, Tensor) and value.requires_grad):
+                yield value
+
+    def parameters(self):
+        return [v for v in self._state_arrays() if isinstance(v, Tensor)]
 
     def children(self):
-        out = []
-        for value in vars(self).values():
-            if isinstance(value, Module):
-                out.append(value)
-            elif isinstance(value, (list, tuple)):
-                out.extend(v for v in value if isinstance(v, Module))
-        return out
+        return [v for v in self._members() if isinstance(v, Module)]
 
     def train(self):
         self.training = True
@@ -60,21 +60,28 @@ class Module:
         raise NotImplementedError
 
     def __call__(self, x, rng=None):
-        return self.forward(x, rng=rng)
+        out = self.forward(x, rng=rng)
+        if not np.all(np.isfinite(out.data)):
+            raise T.NumericError(f"non-finite activation from {type(self).__name__}")
+        return out
 
     def state(self):
-        """Serializable parameter/buffer state, in a stable order."""
-        return [p.data.copy() for p in self.parameters()]
+        """Copies of every parameter and buffer, in a stable order."""
+        return [_array(v).copy() for v in self._state_arrays()]
 
     def load_state(self, arrays):
-        params = self.parameters()
-        if len(arrays) != len(params):
-            raise ValueError(f"state length {len(arrays)} != parameter count {len(params)}")
-        for p, a in zip(params, arrays):
+        targets = [_array(v) for v in self._state_arrays()]
+        if len(arrays) != len(targets):
+            raise ValueError(f"state length {len(arrays)} != expected {len(targets)}")
+        for target, a in zip(targets, arrays):
             a = np.asarray(a, dtype=np.float64)
-            if a.shape != p.data.shape:
-                raise ValueError(f"state shape {a.shape} != parameter shape {p.data.shape}")
-            p.data = a.copy()
+            if a.shape != target.shape:
+                raise ValueError(f"state shape {a.shape} != expected {target.shape}")
+            target[...] = a
+
+
+def _array(value):
+    return value.data if isinstance(value, Tensor) else value
 
 
 class Linear(Module):
@@ -159,14 +166,6 @@ class BatchNorm(Module):
             xhat = (x - self.running_mean) / np.sqrt(self.running_var + self.eps)
         return xhat * self.gamma + self.beta
 
-    def state(self):
-        return super().state() + [self.running_mean.copy(), self.running_var.copy()]
-
-    def load_state(self, arrays):
-        super().load_state(arrays[:-2])
-        self.running_mean = np.asarray(arrays[-2], dtype=np.float64).copy()
-        self.running_var = np.asarray(arrays[-1], dtype=np.float64).copy()
-
 
 class Dropout(Module):
     def __init__(self, p):
@@ -188,26 +187,11 @@ class Sequential(Module):
 
     def forward(self, x, rng=None):
         for i, module in enumerate(self.modules):
-            x = module(x, rng=rng)
-            if not np.all(np.isfinite(x.data)):
-                raise T.NumericError(f"non-finite activation after layer {i} "
-                                     f"({type(module).__name__})")
+            try:
+                x = module(x, rng=rng)
+            except T.NumericError as exc:
+                raise T.NumericError(f"layer {i}: {exc}") from None
         return x
-
-    def state(self):
-        out = []
-        for m in self.modules:
-            out.extend(m.state())
-        return out
-
-    def load_state(self, arrays):
-        pos = 0
-        for m in self.modules:
-            n = len(m.state())
-            m.load_state(arrays[pos:pos + n])
-            pos += n
-        if pos != len(arrays):
-            raise ValueError("state length mismatch")
 
 
 class Residual(Module):
@@ -220,14 +204,6 @@ class Residual(Module):
 
     def forward(self, x, rng=None):
         return self.main(x, rng=rng) + self.shortcut(x, rng=rng)
-
-    def state(self):
-        return self.main.state() + self.shortcut.state()
-
-    def load_state(self, arrays):
-        n = len(self.main.state())
-        self.main.load_state(arrays[:n])
-        self.shortcut.load_state(arrays[n:])
 
 
 class Conv1d(Module):

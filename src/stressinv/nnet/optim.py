@@ -1,8 +1,10 @@
-"""Optimizers, learning-rate schedules, and early stopping."""
+"""Optimizers, learning-rate schedules, early stopping, and the training loop."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from .tensor import Tensor, no_grad, mse_loss
 
 
 class Adam:
@@ -128,3 +130,65 @@ class EarlyStopping:
             if self.epochs_since_improve >= self.patience:
                 self.should_stop = True
         return self.should_stop
+
+
+def train_network(network, optimizer, x, y, train_idx, val_idx, rng, *,
+                  batch_size=32, epochs=500, schedule=None, stopper=None,
+                  restore_best=True, extra_loss=None, batch_input=None,
+                  min_batch=2):
+    """Mini-batch loop shared by every network: MSE (+ extra_loss(pred, batch)).
+
+    Each epoch shuffles train_idx with rng (which also drives dropout), steps
+    the optimizer once per batch, skips batches of fewer than min_batch rows
+    (batch norm needs two), scores MSE on val_idx, and lets ``schedule`` (a
+    StepDecay or PlateauDecay; None keeps the lr) and ``stopper`` (an
+    EarlyStopping) act on it. batch_input(batch), if given, replaces x[batch]
+    as the network input. With restore_best the network ends with the
+    parameters of its lowest validation MSE. Returns one row per epoch:
+    epoch, train_loss, val_mse, lr.
+    """
+    x_val = Tensor(x[val_idx])
+    y_val = y[val_idx]
+    lr = optimizer.lr
+    best_val = np.inf
+    best_state = None
+    history = []
+    order = np.array(train_idx, dtype=np.intp)
+    for epoch in range(1, epochs + 1):
+        optimizer.lr = lr
+        rng.shuffle(order)
+        network.train()
+        total, count = 0.0, 0
+        for start in range(0, order.size, batch_size):
+            batch = order[start : start + batch_size]
+            if batch.size < min_batch:
+                continue
+            xb = x[batch] if batch_input is None else batch_input(batch)
+            pred = network(Tensor(xb), rng=rng)
+            loss = mse_loss(pred, Tensor(y[batch]))
+            if extra_loss is not None:
+                loss = loss + extra_loss(pred, batch)
+            if not np.isfinite(loss.item()):
+                raise ArithmeticError(f"non-finite training loss at epoch {epoch} "
+                                      f"(lr={lr})")
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
+            total += loss.item() * batch.size
+            count += batch.size
+        network.eval()
+        with no_grad():
+            val_mse = float(np.mean((network(x_val).data - y_val) ** 2))
+        history.append({"epoch": epoch, "train_loss": total / max(count, 1),
+                        "val_mse": val_mse, "lr": lr})
+        if restore_best and val_mse < best_val:
+            best_val = val_mse
+            best_state = network.state()
+        if schedule is not None:
+            lr = schedule.step(epoch, lr, val_mse)
+        if stopper is not None and stopper.update(val_mse):
+            break
+    if best_state is not None:
+        network.load_state(best_state)
+    network.eval()
+    return history

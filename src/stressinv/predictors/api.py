@@ -14,7 +14,8 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from .. import data, strength
-from ..nnet import Tensor, no_grad, Adam, adamw, Module
+from ..nnet import (Tensor, no_grad, Adam, adamw, Module, PlateauDecay,
+                    EarlyStopping)
 from ..nnet.serialize import arrays_to_json, arrays_from_json, dump_json, load_json
 from ..reconstructor import reconstruct
 from .neighbors import KNNRegressor
@@ -134,11 +135,8 @@ def build_inputs(dataset, reconstructor_model, seed, use_raw_curves=False):
         return [s.curve for s in dataset]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5eed]))
     fraction_range = reconstructor_model.config.mask_fraction_range
-    curves = []
-    for sample in dataset:
-        masked = data.mask_curve(sample.curve, fraction_range, rng)
-        curves.append(reconstruct(reconstructor_model, masked))
-    return curves
+    masked = [data.mask_curve(s.curve, fraction_range, rng) for s in dataset]
+    return reconstruct(reconstructor_model, masked)
 
 
 def train_predictor(kind, dataset, reconstructor_model, domain_mode,
@@ -230,41 +228,34 @@ def _train_neural(kind, config, xs, ys, indices, law, target_scaler,
     if (kind == "dnn" and domain_mode == "with_function"
             and config.pretrain_epochs > 0):
         # consistency targets are the measured training peaks (the same
-        # curves the strength law was fitted on); only train-batch entries
-        # are ever indexed
+        # curves the strength law was fitted on, so strength.fit has already
+        # rejected a non-positive one); only train-batch entries are indexed
         peaks = np.array([strength.peak_stress(s.curve) for s in dataset])
-        if np.any(peaks[indices.train] <= 0):
-            raise ValueError("non-positive peak stress in pretraining inputs")
         log_peaks = np.where(peaks > 0, np.log(np.where(peaks > 0, peaks, 1.0)), 0.0)
 
         def extra_loss(pred, batch):
-            return consistency_penalty(pred, target_scaler, law.alpha,
-                                       log_peaks[batch])
+            return config.lambda_consistency * consistency_penalty(
+                pred, target_scaler, law.alpha, log_peaks[batch])
 
-        history += train_network(network, optimizer, xs, ys, indices.train,
-                                 indices.val, train_rng,
-                                 batch_size=config.batch_size,
-                                 fixed_epochs=config.pretrain_epochs,
-                                 extra_loss=extra_loss,
-                                 lambda_extra=config.lambda_consistency)
+        # a fixed-length warm-up: constant lr, no early stop, no restore
+        history += train_network(
+            network, optimizer, xs, ys, indices.train, indices.val, train_rng,
+            batch_size=config.batch_size, epochs=config.pretrain_epochs,
+            restore_best=False,
+            extra_loss=extra_loss if config.lambda_consistency > 0 else None)
 
-    kwargs = dict(batch_size=config.batch_size, max_epochs=config.max_epochs,
-                  early_patience=config.early_patience,
-                  plateau_factor=config.plateau_factor,
-                  plateau_patience=config.plateau_patience)
-    if kind == "dnn":
-        kwargs["plateau_min_delta"] = config.plateau_min_delta
-    history += train_network(network, optimizer, xs, ys, indices.train,
-                             indices.val, train_rng, **kwargs)
+    min_delta = config.plateau_min_delta if kind == "dnn" else 1e-6
+    history += train_network(
+        network, optimizer, xs, ys, indices.train, indices.val, train_rng,
+        batch_size=config.batch_size, epochs=config.max_epochs,
+        schedule=PlateauDecay(config.plateau_factor, config.plateau_patience,
+                              min_delta),
+        stopper=EarlyStopping(config.early_patience))
     return network, history
 
 
-def predict(trained, curve):
-    """Predict the Minkowski 4-vector for one curve on the canonical grid."""
-    return predict_batch(trained, [curve])[0]
-
-
 def predict_batch(trained, curves):
+    """Predict the Minkowski 4-vectors (one row per curve) on the model's grid."""
     for curve in curves:
         if len(curve.grid) != len(trained.grid) or not np.allclose(
                 curve.grid.points, trained.grid.points):
@@ -295,8 +286,8 @@ def save_predictor(trained, path):
         "config": asdict(trained.config),
         "seed": trained.seed,
         "grid": trained.grid.points.tolist(),
-        "input_scaler": _scaler_to_json(trained.input_scaler),
-        "target_scaler": _scaler_to_json(trained.target_scaler),
+        "input_scaler": data.scaler_to_json(trained.input_scaler),
+        "target_scaler": data.scaler_to_json(trained.target_scaler),
         "strength_law": None if trained.strength_law is None else {
             "alpha": trained.strength_law.alpha.tolist(),
             "sigma_ref": trained.strength_law.sigma_ref,
@@ -363,19 +354,9 @@ def load_predictor(path):
                               test=np.asarray(obj["split"]["test"], dtype=np.intp),
                               seed=obj["split"]["seed"])
     return TrainedPredictor(kind=kind, domain_mode=obj["domain_mode"], model=model,
-                            input_scaler=_scaler_from_json(obj["input_scaler"]),
-                            target_scaler=_scaler_from_json(obj["target_scaler"]),
+                            input_scaler=data.scaler_from_json(obj["input_scaler"]),
+                            target_scaler=data.scaler_from_json(obj["target_scaler"]),
                             strength_law=law, config=config, seed=obj["seed"],
                             split=split, grid=grid,
                             train_runtime_s=obj["train_runtime_s"])
 
-
-def _scaler_to_json(scaler):
-    return {"kind": scaler.kind, "a": scaler.a.tolist(), "b": scaler.b.tolist(),
-            "degenerate": scaler.degenerate.astype(int).tolist()}
-
-
-def _scaler_from_json(rec):
-    return data.ScalerParams(kind=rec["kind"], a=np.asarray(rec["a"]),
-                             b=np.asarray(rec["b"]),
-                             degenerate=np.asarray(rec["degenerate"], dtype=bool))

@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
-import copy
-
-import numpy as np
-
-from ..nnet import (Tensor, no_grad, mse_loss, Module, Sequential, Linear,
-                    BatchNorm, Dropout, LeakyReLU, ELU, Residual, Conv1d,
-                    MaxPool1d, Flatten, LSTM, Adam, PlateauDecay, EarlyStopping)
+from ..nnet import (Tensor, Module, Sequential, Linear, BatchNorm, Dropout,
+                    LeakyReLU, ELU, Residual, Conv1d, MaxPool1d, Flatten, LSTM)
 from ..nnet import tensor as T
+from ..nnet.optim import train_network  # noqa: F401  (re-exported)
 
 N_TARGETS = 4
 
@@ -86,63 +82,3 @@ def consistency_penalty(pred_std, target_scaler, alpha, log_peaks):
     pred = pred_std * std + mean
     gap = T.matmul(pred, Tensor(alpha.reshape(4, 1))) - Tensor(log_peaks.reshape(-1, 1))
     return T.mean(gap * gap)
-
-
-def train_network(network, optimizer, x, y, train_idx, val_idx, rng, *,
-                  batch_size=32, max_epochs=500, early_patience=20,
-                  plateau_factor=0.5, plateau_patience=10, plateau_min_delta=1e-6,
-                  extra_loss=None, lambda_extra=0.0, fixed_epochs=None):
-    """Shared mini-batch loop: MSE (+ optional extra term), plateau lr, early stop.
-
-    With fixed_epochs set, runs exactly that many epochs with no early stop
-    and no best-state restore (used for pretraining warmups).
-    """
-    x_val = Tensor(x[val_idx]) if val_idx is not None and len(val_idx) else None
-    y_val = y[val_idx] if x_val is not None else None
-    schedule = PlateauDecay(plateau_factor, plateau_patience, plateau_min_delta)
-    stopper = EarlyStopping(early_patience)
-    lr = optimizer.lr
-    best_val = np.inf
-    best_state = None
-    history = []
-    order = np.array(train_idx, dtype=np.intp)
-    epochs = fixed_epochs if fixed_epochs is not None else max_epochs
-    for epoch in range(1, epochs + 1):
-        optimizer.lr = lr
-        rng.shuffle(order)
-        network.train()
-        total, count = 0.0, 0
-        for start in range(0, order.size, batch_size):
-            batch = order[start : start + batch_size]
-            if batch.size < 2:
-                continue  # batch norm needs >= 2 rows
-            pred = network(Tensor(x[batch]), rng=rng)
-            loss = mse_loss(pred, Tensor(y[batch]))
-            if extra_loss is not None and lambda_extra > 0.0:
-                loss = loss + lambda_extra * extra_loss(pred, batch)
-            if not np.isfinite(loss.item()):
-                raise ArithmeticError(f"non-finite training loss at epoch {epoch}")
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-            total += loss.item() * batch.size
-            count += batch.size
-        row = {"epoch": epoch, "train_loss": total / max(count, 1), "lr": lr}
-        if x_val is not None:
-            network.eval()
-            with no_grad():
-                val_mse = float(np.mean((network(x_val).data - y_val) ** 2))
-            row["val_mse"] = val_mse
-            if fixed_epochs is None:
-                if val_mse < best_val:
-                    best_val = val_mse
-                    best_state = copy.deepcopy(network.state())
-                lr = schedule.step(epoch, lr, val_mse)
-                if stopper.update(val_mse):
-                    history.append(row)
-                    break
-        history.append(row)
-    if best_state is not None:
-        network.load_state(best_state)
-    network.eval()
-    return history

@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import data
 from .metrics import r2
-from .nnet import (Tensor, no_grad, mse_loss, Sequential, Linear, LayerNorm,
-                   LeakyReLU, Dropout, Adam, StepDecay)
-from .nnet.serialize import (save_checkpoint, load_checkpoint, arrays_to_json,
-                             arrays_from_json)
+from .nnet import (Tensor, no_grad, Sequential, Linear, LayerNorm, LeakyReLU,
+                   Dropout, Adam, StepDecay, train_network)
+from .nnet.serialize import save_checkpoint, load_checkpoint
 
 
 @dataclass(frozen=True)
@@ -65,7 +63,7 @@ def train_reconstructor(dataset, config):
 
     The returned model carries the parameters with the lowest validation
     loss seen over the full schedule. History rows are dicts with keys
-    epoch, train_mse, val_mse, lr.
+    epoch, train_loss (the training MSE), val_mse, lr.
     """
     if len(dataset) < 30:
         raise ValueError("train_reconstructor needs at least 30 samples")
@@ -79,88 +77,59 @@ def train_reconstructor(dataset, config):
     masked = [data.mask_curve(s.curve, config.mask_fraction_range, mask_rng)
               for s in dataset]
     impute_stats = data.position_means([masked[i] for i in indices.train])
-    inputs = np.stack([data.impute_mean(m, impute_stats).stress for m in masked])
+    inputs = data.impute_mean(masked, impute_stats)
     targets = np.stack([s.curve.stress for s in dataset])
-
-    def fresh_inputs(batch):
-        """Resample mask windows so every epoch sees new corruptions."""
-        rows = []
-        for i in batch:
-            m = data.mask_curve(dataset[i].curve, config.mask_fraction_range,
-                                mask_rng)
-            rows.append(data.impute_mean(m, impute_stats).stress)
-        return np.stack(rows)
 
     input_scaler = data.scaler_fit(inputs[indices.train], "minmax")
     target_scaler = data.scaler_fit(targets[indices.train], "minmax")
     x = data.scaler_apply(input_scaler, inputs)
     y = data.scaler_apply(target_scaler, targets)
 
+    def fresh_inputs(batch):
+        """Resample mask windows so every epoch sees new corruptions."""
+        batch_masked = [data.mask_curve(dataset[i].curve,
+                                        config.mask_fraction_range, mask_rng)
+                        for i in batch]
+        return data.scaler_apply(input_scaler,
+                                 data.impute_mean(batch_masked, impute_stats))
+
     network = build_network(p, config, init_rng)
     optimizer = Adam(network.parameters(), lr=config.lr,
                      weight_decay=config.weight_decay)
-    schedule = StepDecay(config.step_factor, config.step_interval)
-
-    x_val = Tensor(x[indices.val])
-    y_val = y[indices.val]
-    lr = config.lr
-    history = []
-    best_val = np.inf
-    best_state = None
-    train_idx = indices.train.copy()
-    for epoch in range(1, config.epochs + 1):
-        optimizer.lr = lr
-        train_rng.shuffle(train_idx)
-        network.train()
-        total, count = 0.0, 0
-        for start in range(0, train_idx.size, config.batch_size):
-            batch = train_idx[start : start + config.batch_size]
-            xb = data.scaler_apply(input_scaler, fresh_inputs(batch))
-            loss = mse_loss(network(Tensor(xb), rng=train_rng), Tensor(y[batch]))
-            if not np.isfinite(loss.item()):
-                raise ArithmeticError(f"non-finite training loss at epoch {epoch} "
-                                      f"(lr={lr})")
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-            total += loss.item() * batch.size
-            count += batch.size
-        network.eval()
-        with no_grad():
-            val_mse = float(np.mean((network(x_val).data - y_val) ** 2))
-        history.append({"epoch": epoch, "train_mse": total / count,
-                        "val_mse": val_mse, "lr": lr})
-        if val_mse < best_val:
-            best_val = val_mse
-            best_state = copy.deepcopy(network.state())
-        lr = schedule.step(epoch, lr)
-
-    network.load_state(best_state)
-    network.eval()
+    history = train_network(network, optimizer, x, y, indices.train, indices.val,
+                            train_rng, batch_size=config.batch_size,
+                            epochs=config.epochs,
+                            schedule=StepDecay(config.step_factor,
+                                               config.step_interval),
+                            batch_input=fresh_inputs, min_batch=1)
     model = ReconstructorModel(network=network, input_scaler=input_scaler,
                                target_scaler=target_scaler,
                                impute_stats=impute_stats, grid=grid, config=config)
     return model, history
 
 
-def reconstruct(model, masked, copy_through=True):
-    """Impute, scale, run the network in eval mode, and inverse-scale.
+def reconstruct(model, masked_curves, copy_through=True):
+    """Impute, scale, run the network in eval mode, and inverse-scale, in one
+    batch; returns one StressCurve per MaskedCurve.
 
     With copy_through (default), observed positions are returned bit-equal
-    to the input; the network only fills the masked window.
+    to the input; the network only fills the masked windows.
     """
-    if len(masked.grid) != len(model.grid) or not np.allclose(
-            masked.grid.points, model.grid.points):
+    if not masked_curves:
+        return []
+    if any(len(m.grid) != len(model.grid) for m in masked_curves) or not np.allclose(
+            np.stack([m.grid.points for m in masked_curves]), model.grid.points):
         raise ValueError("masked curve is not on the model's strain grid")
-    imputed = data.impute_mean(masked, model.impute_stats)
-    x = data.scaler_apply(model.input_scaler, imputed.stress[None, :])
+    x = data.scaler_apply(model.input_scaler,
+                          data.impute_mean(masked_curves, model.impute_stats))
     model.network.eval()
     with no_grad():
         out = model.network(Tensor(x)).data
-    stress = data.scaler_invert(model.target_scaler, out)[0]
+    stress = data.scaler_invert(model.target_scaler, out)
     if copy_through:
-        stress = np.where(masked.mask, masked.stress, stress)
-    return data.StressCurve(masked.grid, stress)
+        stress = np.where(np.stack([m.mask for m in masked_curves]),
+                          np.stack([m.stress for m in masked_curves]), stress)
+    return [data.StressCurve(m.grid, row) for m, row in zip(masked_curves, stress)]
 
 
 def evaluate_reconstruction(model, test_samples, mask_seed,
@@ -170,21 +139,18 @@ def evaluate_reconstruction(model, test_samples, mask_seed,
         raise ValueError("empty test set")
     fraction_range = fraction_range or model.config.mask_fraction_range
     rng = np.random.default_rng(mask_seed)
-    actual, predicted = [], []
-    for sample in test_samples:
-        masked = data.mask_curve(sample.curve, fraction_range, rng)
-        recon = reconstruct(model, masked, copy_through=copy_through)
-        actual.append(sample.curve.stress)
-        predicted.append(recon.stress)
-    return r2(np.concatenate(actual), np.concatenate(predicted))
+    masked = [data.mask_curve(s.curve, fraction_range, rng) for s in test_samples]
+    recon = reconstruct(model, masked, copy_through=copy_through)
+    return r2(np.concatenate([s.curve.stress for s in test_samples]),
+              np.concatenate([c.stress for c in recon]))
 
 
 def save_reconstructor(model, path):
     arch = {"kind": "reconstructor", "config": asdict(model.config),
             "input_width": len(model.grid)}
     extra = {
-        "input_scaler": _scaler_to_json(model.input_scaler),
-        "target_scaler": _scaler_to_json(model.target_scaler),
+        "input_scaler": data.scaler_to_json(model.input_scaler),
+        "target_scaler": data.scaler_to_json(model.target_scaler),
         "impute_stats": model.impute_stats.tolist(),
         "grid": model.grid.points.tolist(),
     }
@@ -205,28 +171,17 @@ def load_reconstructor(path):
     network.eval()
     return ReconstructorModel(
         network=network,
-        input_scaler=_scaler_from_json(envelope["input_scaler"]),
-        target_scaler=_scaler_from_json(envelope["target_scaler"]),
+        input_scaler=data.scaler_from_json(envelope["input_scaler"]),
+        target_scaler=data.scaler_from_json(envelope["target_scaler"]),
         impute_stats=np.asarray(envelope["impute_stats"]),
         grid=data.StrainGrid(np.asarray(envelope["grid"])),
         config=config,
     )
 
 
-def _scaler_to_json(scaler):
-    return {"kind": scaler.kind, "a": scaler.a.tolist(), "b": scaler.b.tolist(),
-            "degenerate": scaler.degenerate.astype(int).tolist()}
-
-
-def _scaler_from_json(obj):
-    return data.ScalerParams(kind=obj["kind"], a=np.asarray(obj["a"]),
-                             b=np.asarray(obj["b"]),
-                             degenerate=np.asarray(obj["degenerate"], dtype=bool))
-
-
 def write_history_csv(history, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("epoch,train_mse,val_mse,lr\n")
         for row in history:
-            fh.write(f"{row['epoch']},{row['train_mse']!r},"
+            fh.write(f"{row['epoch']},{row['train_loss']!r},"
                      f"{row['val_mse']!r},{row['lr']!r}\n")

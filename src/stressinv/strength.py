@@ -95,19 +95,6 @@ def augment_features(x, curve, law):
     return np.concatenate([x, [extra]])
 
 
-def consistency_loss(m_hat, curve, law):
-    """Squared gap between the strength law at m_hat and the observed log peak.
-
-    Returns (loss, gradient wrt m_hat).
-    """
-    peak = peak_stress(curve)
-    if peak <= 0:
-        raise ValueError("consistency_loss needs a positive peak stress")
-    m_hat = np.asarray(m_hat, dtype=np.float64)
-    gap = float(law.alpha @ m_hat) - np.log(peak)
-    return gap * gap, 2.0 * gap * law.alpha
-
-
 def save_law(law, path):
     dump_json({
         "alpha": law.alpha.tolist(),

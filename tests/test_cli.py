@@ -102,6 +102,33 @@ def test_preprocess_short_long_format_row_exits_validation(tmp_path, capsys):
     assert f"{curves}:3: expected 3 cells" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples_text, curves_text, bad", [
+    # blank line in samples.csv
+    ("id,m0,m1,m2,m3\ns1,0.1,0.2,0.3,0.4\n\n", "wide", "samples:3: expected 5 cells"),
+    # short samples.csv row
+    ("id,m0,m1,m2,m3\ns1,0.1,0.2,0.3,0.4\ns2,0.1\n", "wide",
+     "samples:3: expected 5 cells"),
+    # blank line in a wide curves.csv
+    ("id,m0,m1,m2,m3\ns1,0.1,0.2,0.3,0.4\n", "wide+blank",
+     "curves:3: expected 101 cells"),
+], ids=["samples_blank_line", "samples_short_row", "curves_blank_line"])
+def test_preprocess_malformed_row_exits_validation(tmp_path, capsys, samples_text,
+                                                   curves_text, bad):
+    data_dir = tmp_path / "run" / "data"
+    data_dir.mkdir(parents=True)
+    paths = {"samples": data_dir / "samples.csv", "curves": data_dir / "curves.csv"}
+    paths["samples"].write_text(samples_text)
+    header = "id," + ",".join(f"s{j:03d}" for j in range(1, 101))
+    row = "s1," + ",".join(["1.0"] * 100)
+    blank = "\n" if curves_text == "wide+blank" else ""
+    paths["curves"].write_text(f"{header}\n{row}\n{blank}")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"run_dir": str(tmp_path / "run")}))
+    assert main(["preprocess", "--config", str(cfg)]) == EXIT_VALIDATION
+    name, text = bad.split(":", 1)
+    assert f"{paths[name]}:{text}" in capsys.readouterr().err
+
+
 def test_fit_law_without_preprocess_exits_io(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"run_dir": str(tmp_path / "empty")}))

@@ -270,15 +270,15 @@ def test_position_means_and_impute_fixture():
     ]
     means = data.position_means(masked)
     assert np.array_equal(means, [2.0, 4.0, 5.0])
-    filled = data.impute_mean(masked[0], means)
-    assert np.array_equal(filled.stress, [1.0, 4.0, 5.0])
+    filled = data.impute_mean(masked, means)
+    assert np.array_equal(filled, [[1.0, 4.0, 5.0], [3.0, 4.0, 5.0]])
 
 
 def test_impute_fully_observed_unchanged():
     grid = StrainGrid([0.0, 0.1])
     masked = MaskedCurve(grid, np.array([1.0, 2.0]), [True, True])
-    filled = data.impute_mean(masked, np.array([9.0, 9.0]))
-    assert np.array_equal(filled.stress, [1.0, 2.0])
+    filled = data.impute_mean([masked], np.array([9.0, 9.0]))
+    assert np.array_equal(filled, [[1.0, 2.0]])
 
 
 def test_position_means_never_observed_errors():

@@ -1,18 +1,21 @@
 """Stage-2 predictor API: feature widths, architectures, training wiring,
 determinism, and serialization across all six families."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from stressinv import data, strength
-from stressinv.nnet import Tensor
+from stressinv.nnet import Tensor, NumericError
 from stressinv.predictors import api
-from stressinv.predictors.api import (train_predictor, predict, predict_batch,
+from stressinv.predictors.api import (train_predictor, predict_batch,
                                       save_predictor, load_predictor,
                                       default_config, DnnPredictorConfig,
                                       Cnn1dConfig, LstmConfig, KnnConfig,
                                       RandomForestConfig, GbtConfig)
-from stressinv.predictors.neural import build_dnn, consistency_penalty
+from stressinv.predictors.neural import (build_dnn, consistency_penalty, CurveCNN,
+                                         CurveLSTM)
 
 TINY_CONFIGS = {
     "dnn": DnnPredictorConfig(max_epochs=3, pretrain_epochs=2, early_patience=3),
@@ -107,6 +110,22 @@ def test_dnn_rejects_empty_input():
         build_dnn(0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("kind", ["cnn1d", "lstm"])
+def test_curve_networks_reject_nonfinite_activation(kind):
+    rng = np.random.default_rng(4)
+    if kind == "cnn1d":
+        network = CurveCNN(100, 1, rng, channels=(2, 4), head_width=8)
+        network.conv1.weight.data[0, 0, 0] = np.inf
+        layer = "Conv1d"
+    else:
+        network = CurveLSTM(100, 1, rng, hidden_size=8)
+        network.lstm.w_h.data[0, 0] = np.inf
+        layer = "LSTM"
+    with np.errstate(invalid="ignore"), pytest.raises(
+            NumericError, match=f"non-finite activation from {layer}"):
+        network(Tensor(rng.normal(size=(3, 101))))
+
+
 # ---------------------------------------------------------------------------
 # Consistency penalty
 
@@ -168,9 +187,9 @@ def test_same_seed_same_predictions(dataset):
 
 def test_predict_single_curve_matches_batch(dataset):
     trained = train_tiny("knn", dataset)
-    single = predict(trained, dataset[0].curve)
-    batch = predict_batch(trained, [dataset[0].curve])
-    assert np.array_equal(single, batch[0])
+    single = predict_batch(trained, [dataset[0].curve])
+    batch = predict_batch(trained, [s.curve for s in dataset[:7]])
+    assert np.array_equal(single[0], batch[0])
 
 
 def test_predict_rejects_foreign_grid(dataset):
@@ -178,7 +197,7 @@ def test_predict_rejects_foreign_grid(dataset):
     foreign = data.StressCurve(data.StrainGrid(np.linspace(0, 0.5, 100)),
                                np.linspace(0, 1, 100))
     with pytest.raises(ValueError):
-        predict(trained, foreign)
+        predict_batch(trained, [foreign])
 
 
 # ---------------------------------------------------------------------------
@@ -204,3 +223,38 @@ def test_load_rejects_unknown_format(tmp_path):
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError, match="format"):
         load_predictor(str(path))
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity of training
+
+# sha256 of the save_predictor bytes (runtime zeroed) and the epoch history of
+# the networks below, computed with the stage-2 training loop before the
+# reconstructor's loop was folded into it (fp64, OpenBLAS on x86-64)
+GOLDEN_NETWORK_DIGEST = "fd2d59a72a6b35b886d952cd26a785400fc4914d618fb510c82d5b68ff485957"
+
+
+def test_networks_are_bit_identical_to_golden_digest(dataset, tmp_path):
+    cells = [
+        # 43 training rows in batches of 14 leave a skipped 1-row batch; the
+        # with_function mode adds the consistency warm-up
+        ("dnn", "with_function",
+         DnnPredictorConfig(max_epochs=3, pretrain_epochs=2, early_patience=3,
+                            batch_size=14)),
+        # a high lr with short patience decays the lr, stops early after
+        # epoch 3 and restores the epoch-1 state
+        ("cnn1d", "without_function",
+         Cnn1dConfig(channels=(2, 4), head_width=8, lr=0.03, max_epochs=10,
+                     early_patience=2, plateau_patience=1)),
+        ("lstm", "with_function", TINY_CONFIGS["lstm"]),
+    ]
+    h = hashlib.sha256()
+    for kind, mode, config in cells:
+        trained = train_predictor(kind, dataset, None, mode, config=config,
+                                  seed=5, use_raw_curves=True)
+        trained.train_runtime_s = 0.0
+        path = tmp_path / f"{kind}.json"
+        save_predictor(trained, str(path))
+        h.update(path.read_bytes())
+        h.update(repr([sorted(row.items()) for row in trained.history]).encode())
+    assert h.hexdigest() == GOLDEN_NETWORK_DIGEST

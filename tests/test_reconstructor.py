@@ -5,6 +5,7 @@ covered by the acceptance suite.
 """
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -72,7 +73,7 @@ def test_copy_through_preserves_observed_bits(dataset, trained):
     rng = np.random.default_rng(5)
     curve = dataset[0].curve
     masked = data.mask_curve(curve, (0.2, 0.5), rng)
-    recon = reconstruct(model, masked)
+    recon, = reconstruct(model, [masked])
     assert np.array_equal(recon.stress[masked.mask], curve.stress[masked.mask])
     assert np.all(np.isfinite(recon.stress))
 
@@ -82,7 +83,7 @@ def test_unmasked_input_round_trips_exactly(dataset, trained):
     curve = dataset[1].curve
     masked = data.MaskedCurve(curve.grid, curve.stress.copy(),
                               np.ones(len(curve.grid), dtype=bool))
-    recon = reconstruct(model, masked)
+    recon, = reconstruct(model, [masked])
     assert np.array_equal(recon.stress, curve.stress)
 
 
@@ -90,10 +91,27 @@ def test_copy_through_flag_off_uses_network_everywhere(dataset, trained):
     model, _ = trained
     rng = np.random.default_rng(6)
     masked = data.mask_curve(dataset[2].curve, (0.2, 0.5), rng)
-    recon = reconstruct(model, masked, copy_through=False)
+    recon, = reconstruct(model, [masked], copy_through=False)
     # pure network output will not be bit-equal to the input in general
     assert not np.array_equal(recon.stress[masked.mask],
                               masked.stress[masked.mask])
+
+
+def test_batch_matches_one_curve_calls(dataset, trained):
+    model, _ = trained
+    rng = np.random.default_rng(11)
+    masked = [data.mask_curve(s.curve, (0.2, 0.5), rng) for s in dataset[:25]]
+    batch = reconstruct(model, masked)
+    assert len(batch) == len(masked)
+    for m, curve in zip(masked, batch):
+        one, = reconstruct(model, [m])
+        assert np.max(np.abs(curve.stress - one.stress)) < 1e-12
+        assert np.array_equal(curve.stress[m.mask], m.stress[m.mask])
+
+
+def test_reconstruct_empty_list(trained):
+    model, _ = trained
+    assert reconstruct(model, []) == []
 
 
 def test_reconstruct_rejects_wrong_grid(dataset, trained):
@@ -101,7 +119,7 @@ def test_reconstruct_rejects_wrong_grid(dataset, trained):
     other = data.StrainGrid(np.linspace(0, 0.3, 100))
     masked = data.MaskedCurve(other, np.zeros(100), np.ones(100, dtype=bool))
     with pytest.raises(ValueError):
-        reconstruct(model, masked)
+        reconstruct(model, [masked])
 
 
 def test_evaluate_perfect_predictions_score_one(dataset, trained):
@@ -128,8 +146,8 @@ def test_checkpoint_round_trip(tmp_path, dataset, trained):
     loaded = load_reconstructor(path)
     rng = np.random.default_rng(9)
     masked = data.mask_curve(dataset[3].curve, (0.2, 0.5), rng)
-    a = reconstruct(model, masked)
-    b = reconstruct(loaded, masked)
+    a, = reconstruct(model, [masked])
+    b, = reconstruct(loaded, [masked])
     assert np.array_equal(a.stress, b.stress)
     assert loaded.config == model.config
 
@@ -166,3 +184,27 @@ def test_constant_dataset_drives_val_mse_down():
     best = min(row["val_mse"] for row in history)
     assert best < 1e-2
     assert best < history[0]["val_mse"] / 20
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity of training
+
+# sha256 of the checkpoint and history.csv bytes of the two trainings below,
+# computed with the reconstructor's own training loop before it was folded
+# into nnet.optim.train_network (fp64, OpenBLAS on x86-64)
+GOLDEN_TRAINING_DIGEST = "2ff3e078da2fc7c638bffa39415bb1e13eebd55e65d548a77dac6be38d979bba"
+
+
+def test_training_is_bit_identical_to_golden_digest(tmp_path, dataset):
+    h = hashlib.sha256()
+    # 33 training curves in batches of 16 leave a trailing 1-row batch
+    one_row = dataclasses.replace(TINY, epochs=4, step_interval=2,
+                                  split_fractions=(0.55, 0.25, 0.2))
+    for config in (TINY, one_row):
+        model, history = train_reconstructor(dataset, config)
+        ckpt, hist = tmp_path / "recon.json", tmp_path / "history.csv"
+        save_reconstructor(model, str(ckpt))
+        write_history_csv(history, str(hist))
+        h.update(ckpt.read_bytes())
+        h.update(hist.read_bytes())
+    assert h.hexdigest() == GOLDEN_TRAINING_DIGEST

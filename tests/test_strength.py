@@ -1,14 +1,20 @@
 """Strength law: closed-form fit recovery, normalization, augmentation, and
 the consistency training signal."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stressinv import data, strength
 from stressinv.data import StrainGrid, StressCurve, SyntheticConfig
+from stressinv.nnet import Tensor
+from stressinv.predictors.api import (DNN_SPLIT, DnnPredictorConfig,
+                                      train_predictor)
+from stressinv.predictors.neural import consistency_penalty
 
-from conftest import central_difference, max_rel_err
+from conftest import analytic_input_grad, central_difference, max_rel_err
 
 
 def make_curve(stress):
@@ -198,7 +204,15 @@ def test_augment_matches_normalized_law_on_noiseless_synthetic():
 
 
 # ---------------------------------------------------------------------------
-# consistency_loss
+# consistency penalty (the strength-law term of the DNN warm-up)
+
+IDENTITY = data.ScalerParams(kind="zscore", a=np.zeros(4), b=np.ones(4),
+                             degenerate=np.zeros(4, dtype=bool))
+
+
+def penalty(m_hat, law, log_peaks):
+    return consistency_penalty(Tensor(np.atleast_2d(m_hat)), IDENTITY, law.alpha,
+                               np.asarray(log_peaks, dtype=float))
 
 
 def test_consistency_zero_at_true_targets_noiseless():
@@ -207,34 +221,38 @@ def test_consistency_zero_at_true_targets_noiseless():
     law = strength.StrengthLaw(np.asarray(config.planted_alpha), 1.0,
                                -2.0, 2.0, 0.0, 20)
     for s in samples:
-        loss, _ = strength.consistency_loss(s.minkowski, s.curve, law)
-        assert loss < 1e-12
+        loss = penalty(s.minkowski, law, [np.log(strength.peak_stress(s.curve))])
+        assert loss.item() < 1e-12
 
 
 def test_consistency_gradient_matches_finite_differences(rng):
     m, sigma, _ = planted_system(n=20, seed=11)
     law = strength.fit(m, sigma)
-    curve = make_curve(np.linspace(0, 1.7, 10))
+    log_peaks = np.log(sigma[:5])
     for _ in range(20):
-        m_hat = rng.normal(size=4)
-        _, grad = strength.consistency_loss(m_hat, curve, law)
-        num = central_difference(
-            lambda v: strength.consistency_loss(v, curve, law)[0], m_hat)
+        m_hat = rng.normal(size=(5, 4))
+        grad = analytic_input_grad(
+            lambda t: consistency_penalty(t, IDENTITY, law.alpha, log_peaks), m_hat)
+        num = central_difference(lambda v: penalty(v, law, log_peaks).item(), m_hat)
         assert max_rel_err(grad, num) < 1e-6
 
 
 def test_consistency_quadratic_scaling():
     law = strength.StrengthLaw(np.array([1.0, 0, 0, 0]), 1.0, 0.0, 1.0, 0.0, 4)
-    curve = make_curve([0.0, 1.0])  # log peak = 0
-    base, _ = strength.consistency_loss([0.3, 0, 0, 0], curve, law)
-    scaled, _ = strength.consistency_loss([0.9, 0, 0, 0], curve, law)
+    base = penalty([0.3, 0, 0, 0], law, [0.0]).item()
+    scaled = penalty([0.9, 0, 0, 0], law, [0.0]).item()
     assert scaled == pytest.approx(9.0 * base)
 
 
 def test_consistency_rejects_nonpositive_peak():
-    law = strength.StrengthLaw(np.zeros(4), 1.0, 0.0, 1.0, 0.0, 4)
-    with pytest.raises(ValueError):
-        strength.consistency_loss(np.zeros(4), make_curve([0.0, 0.0]), law)
+    samples = data.generate_synthetic(SyntheticConfig(n_samples=60, seed=4))
+    victim = data.split(60, DNN_SPLIT, 0).train[0]
+    flat = StressCurve(samples[victim].curve.grid, np.zeros(100))
+    samples[victim] = dataclasses.replace(samples[victim], curve=flat)
+    config = DnnPredictorConfig(max_epochs=1, pretrain_epochs=1)
+    with pytest.raises(ValueError, match="non-positive"):
+        train_predictor("dnn", samples, None, "with_function", config=config,
+                        seed=0, use_raw_curves=True)
 
 
 @settings(max_examples=50, deadline=None)
@@ -243,14 +261,14 @@ def test_consistency_zero_iff_exact(seed):
     rng = np.random.default_rng(seed)
     alpha = rng.normal(size=4)
     law = strength.StrengthLaw(alpha, 1.0, -1.0, 1.0, 0.0, 4)
-    curve = make_curve([0.0, float(rng.uniform(0.5, 2.0))])
-    log_peak = np.log(strength.peak_stress(curve))
+    log_peak = np.log(float(rng.uniform(0.5, 2.0)))
     # construct m_hat with alpha . m_hat == log_peak exactly
-    m_hat = np.zeros(4)
+    m_hat = np.zeros((1, 4))
     j = int(np.argmax(np.abs(alpha)))
-    m_hat[j] = log_peak / alpha[j]
-    loss, grad = strength.consistency_loss(m_hat, curve, law)
-    assert loss < 1e-18
+    m_hat[0, j] = log_peak / alpha[j]
+    grad = analytic_input_grad(
+        lambda t: consistency_penalty(t, IDENTITY, alpha, np.array([log_peak])), m_hat)
+    assert penalty(m_hat, law, [log_peak]).item() < 1e-18
     assert np.max(np.abs(grad)) < 1e-7
 
 
